@@ -14,8 +14,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+# Flake catcher: three back-to-back runs at cargo's default test parallelism,
+# so a test whose result depends on scheduler timing fails here instead of
+# shipping.
+for run in 1 2 3; do
+    echo "==> cargo test -q (run $run of 3)"
+    cargo test -q
+done
 
 echo "==> cargo test --release (middleware stress: packing plug/unplug races)"
 cargo test --release -q -p weavepar-middleware -p weavepar-apps --test stress_middleware

@@ -18,12 +18,10 @@
 //!   * `packed` — cached id + pooled frames + `call_batch` packs of 64 calls
 //!     per `Request::CallPack` (isolates wire packing). The acceptance bar
 //!     is packed ≥ 2× the unpacked (`interned_pooled`) path at 8 threads.
-//! * `sync` — replied calls, comparing the reply rendezvous backends:
-//!   * `channel` — a fresh `bounded(1)` channel per call (the seed path);
-//!   * `slot` — the pooled park/unpark reply slab plus pooled frames on both
-//!     the argument and reply directions. Replied round trips are dominated
-//!     by the client/server context switch, so the spread here is small by
-//!     construction (see EXPERIMENTS.md).
+//! * `sync` — replied calls (config `slot`): the pooled park/unpark reply
+//!   slab plus pooled frames on both the argument and reply directions.
+//!   Replied round trips are dominated by the client/server context switch
+//!   (see EXPERIMENTS.md).
 //!
 //! Hand-rolled harness (same contract as `executor_throughput`): writes a
 //! machine-readable `BENCH_remote.json` at the workspace root with the
@@ -31,8 +29,8 @@
 //! `WEAVEPAR_BENCH_QUICK=1` it runs a tiny smoke iteration and skips the
 //! JSON (used by ci.sh).
 //!
-//! The container is single-core: client and server threads share the CPU,
-//! so numbers measure per-call path cost, not parallel speedup.
+//! With more client threads than cores, client and server threads share
+//! the CPUs, so numbers measure per-call path cost, not parallel speedup.
 
 use std::time::Instant;
 
@@ -153,31 +151,17 @@ impl Harness {
 
     /// One timed round of the sync (replied `bump`) workload; returns
     /// calls/sec.
-    fn sync_round(&self, config: SyncConfig, calls: usize) -> f64 {
+    fn sync_round(&self, calls: usize) -> f64 {
         let start = Instant::now();
         std::thread::scope(|s| {
             for &r in &self.refs {
                 s.spawn(move || {
                     let f = &self.fabric;
                     for _ in 0..calls {
-                        match config {
-                            SyncConfig::Channel => {
-                                let mut buf = BytesMut::with_capacity(32);
-                                f.marshal()
-                                    .encode_args_id(self.bump, &args![1u64], &mut buf)
-                                    .unwrap();
-                                f.call_id_channel(r, self.bump, buf.freeze(), true).unwrap();
-                            }
-                            SyncConfig::Slot => {
-                                let mut buf = f.buffers().take();
-                                f.marshal()
-                                    .encode_args_id(self.bump, &args![1u64], &mut buf)
-                                    .unwrap();
-                                let reply =
-                                    f.call_id(r, self.bump, buf.freeze(), true).unwrap().unwrap();
-                                f.buffers().recycle(reply);
-                            }
-                        }
+                        let mut buf = f.buffers().take();
+                        f.marshal().encode_args_id(self.bump, &args![1u64], &mut buf).unwrap();
+                        let reply = f.call_id(r, self.bump, buf.freeze(), true).unwrap().unwrap();
+                        f.buffers().recycle(reply);
                     }
                 });
             }
@@ -201,21 +185,6 @@ impl OnewayConfig {
             OnewayConfig::InternedFresh => "interned_fresh",
             OnewayConfig::InternedPooled => "interned_pooled",
             OnewayConfig::Packed => "packed",
-        }
-    }
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum SyncConfig {
-    Channel,
-    Slot,
-}
-
-impl SyncConfig {
-    fn name(self) -> &'static str {
-        match self {
-            SyncConfig::Channel => "channel",
-            SyncConfig::Slot => "slot",
         }
     }
 }
@@ -310,18 +279,13 @@ fn main() {
         );
     }
 
-    println!("\n== sync reply rendezvous (median calls/sec, {} rounds) ==", knobs.rounds);
-    println!("{:>8} {:>14} {:>14} {:>8}", "threads", "channel", "slot", "gain");
+    println!("\n== sync replied calls (median calls/sec, {} rounds) ==", knobs.rounds);
+    println!("{:>8} {:>14}", "threads", "slot");
     for threads in THREAD_COUNTS {
-        let mut row = Vec::new();
-        for config in [SyncConfig::Channel, SyncConfig::Slot] {
-            let calls_per_sec = run_cell(&knobs, threads, knobs.sync_calls, |h| {
-                h.sync_round(config, knobs.sync_calls)
-            });
-            cell("sync", config.name(), threads, calls_per_sec);
-            row.push(calls_per_sec);
-        }
-        println!("{threads:>8} {:>14.0} {:>14.0} {:>7.2}x", row[0], row[1], row[1] / row[0]);
+        let calls_per_sec =
+            run_cell(&knobs, threads, knobs.sync_calls, |h| h.sync_round(knobs.sync_calls));
+        cell("sync", "slot", threads, calls_per_sec);
+        println!("{threads:>8} {calls_per_sec:>14.0}");
     }
 
     println!("\npacked vs unpacked oneway at 8 threads: {packed_gain_8t:.2}x");

@@ -8,12 +8,11 @@
 //!
 //! # Scheduling
 //!
-//! The default backend ([`Scheduler::WorkStealing`]) is a Cilk-style
-//! work-stealing scheduler: every worker owns a LIFO deque, tasks submitted
-//! from outside the pool land in a shared FIFO injector, and tasks spawned
-//! *by* a pool worker (divide-and-conquer recursion generates these heavily)
-//! go to that worker's own deque, where the LIFO pop keeps the most recently
-//! spawned — cache-hot — task first. Idle workers steal batches from the
+//! The pool is a Cilk-style work-stealing scheduler: every worker owns a
+//! LIFO deque, tasks submitted from outside the pool land in a shared FIFO
+//! injector, and tasks spawned *by* a pool worker (divide-and-conquer
+//! recursion generates these heavily) go to that worker's own deque, where
+//! the LIFO pop keeps the most recently spawned — cache-hot — task first. Idle workers steal batches from the
 //! injector or from a peer's deque, so a burst of nested spawns seeded on a
 //! single worker spreads across the pool without any submitter-side routing.
 //! Idle workers park on a condition variable behind an atomic sleeper count:
@@ -24,10 +23,6 @@
 //! completion-tracker increment, one queue-lock acquisition and one wakeup —
 //! the skeleton layer (farm, divide-and-conquer) uses it to submit
 //! pack-granular batches instead of per-task sends.
-//!
-//! The previous single-shared-queue backend is kept as
-//! [`Scheduler::SingleQueue`] so the `executor_throughput` bench can ablate
-//! stealing against the old design (see EXPERIMENTS.md).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -35,7 +30,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Sender};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
 
@@ -60,16 +54,6 @@ impl Task {
     }
 }
 
-/// Which scheduler backs a [`ThreadPool`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scheduler {
-    /// Per-worker deques + global injector + stealing (the default).
-    WorkStealing,
-    /// One shared FIFO channel all workers receive from (the pre-stealing
-    /// design; kept for the throughput ablation).
-    SingleQueue,
-}
-
 /// Process-unique pool ids, so the thread-local worker context can tell
 /// *which* pool's worker the current thread is.
 static NEXT_POOL_ID: AtomicUsize = AtomicUsize::new(1);
@@ -82,7 +66,7 @@ thread_local! {
 /// Always-on scheduler event counters, cheap relaxed atomics held in `Arc`s
 /// so a metrics registry can bind them by name ([`ThreadPool::install_metrics`])
 /// without the scheduler double-bookkeeping.
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct PoolStats {
     /// Task batches stolen from a peer worker's deque.
     steals: Arc<AtomicU64>,
@@ -92,7 +76,7 @@ struct PoolStats {
     wakeups: Arc<AtomicU64>,
 }
 
-/// Shared state of the work-stealing backend.
+/// Scheduler state shared by the pool handle and its workers.
 struct StealCore {
     id: usize,
     /// FIFO entry queue for tasks submitted from outside the pool.
@@ -201,15 +185,9 @@ impl StealCore {
     }
 }
 
-enum Backend {
-    Single { tx: Option<Sender<Task>> },
-    Stealing(Arc<StealCore>),
-}
-
-/// A fixed set of worker threads consuming work-stealing deques (or, for the
-/// ablation backend, one shared job queue).
+/// A fixed set of worker threads consuming work-stealing deques.
 pub struct ThreadPool {
-    backend: Backend,
+    core: Arc<StealCore>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     tracker: CompletionTracker,
     size: usize,
@@ -218,81 +196,40 @@ pub struct ThreadPool {
     /// before the whole pack is enqueued. `0` (the default) submits the
     /// batch whole. Held in a shared cell for runtime tuning.
     grain: Arc<AtomicU32>,
-    /// Scheduler event counters (shared with the stealing core; all zero on
-    /// the single-queue backend, which has no stealing or parking).
-    stats: PoolStats,
 }
 
 impl ThreadPool {
-    /// Spawn `size` workers (at least one) named `{name}-{i}` on the default
-    /// work-stealing scheduler.
+    /// Spawn `size` workers (at least one) named `{name}-{i}`.
     pub fn new(size: usize, name: &str) -> Arc<Self> {
-        Self::with_scheduler(size, name, Scheduler::WorkStealing)
-    }
-
-    /// The pre-stealing single-shared-queue pool (ablation / comparison).
-    pub fn single_queue(size: usize, name: &str) -> Arc<Self> {
-        Self::with_scheduler(size, name, Scheduler::SingleQueue)
-    }
-
-    /// Spawn `size` workers (at least one) named `{name}-{i}` on the chosen
-    /// scheduler.
-    pub fn with_scheduler(size: usize, name: &str, scheduler: Scheduler) -> Arc<Self> {
         let size = size.max(1);
-        let stats = PoolStats::default();
-        let mut workers = Vec::with_capacity(size);
-        let backend = match scheduler {
-            Scheduler::SingleQueue => {
-                let (tx, rx) = unbounded::<Task>();
-                for i in 0..size {
-                    let rx = rx.clone();
-                    let handle = std::thread::Builder::new()
-                        .name(format!("{name}-{i}"))
-                        .spawn(move || {
-                            while let Ok(task) = rx.recv() {
-                                let _ =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        task.run()
-                                    }));
-                            }
-                        })
-                        .expect("spawning pool worker");
-                    workers.push(handle);
-                }
-                Backend::Single { tx: Some(tx) }
-            }
-            Scheduler::WorkStealing => {
-                let locals: Vec<Worker<Task>> = (0..size).map(|_| Worker::new_lifo()).collect();
-                let stealers = locals.iter().map(|w| w.stealer()).collect();
-                let core = Arc::new(StealCore {
-                    id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
-                    injector: Injector::new(),
-                    locals,
-                    stealers,
-                    sleepers: AtomicUsize::new(0),
-                    shutdown: AtomicBool::new(false),
-                    park_lock: Mutex::new(()),
-                    unpark: Condvar::new(),
-                    stats: stats.clone(),
-                });
-                for i in 0..size {
-                    let core = core.clone();
-                    let handle = std::thread::Builder::new()
-                        .name(format!("{name}-{i}"))
-                        .spawn(move || core.worker_loop(i))
-                        .expect("spawning pool worker");
-                    workers.push(handle);
-                }
-                Backend::Stealing(core)
-            }
-        };
+        let locals: Vec<Worker<Task>> = (0..size).map(|_| Worker::new_lifo()).collect();
+        let stealers = locals.iter().map(|w| w.stealer()).collect();
+        let core = Arc::new(StealCore {
+            id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
+            injector: Injector::new(),
+            locals,
+            stealers,
+            sleepers: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
+            park_lock: Mutex::new(()),
+            unpark: Condvar::new(),
+            stats: PoolStats::default(),
+        });
+        let workers = (0..size)
+            .map(|i| {
+                let core = core.clone();
+                std::thread::Builder::new()
+                    .name(format!("{name}-{i}"))
+                    .spawn(move || core.worker_loop(i))
+                    .expect("spawning pool worker")
+            })
+            .collect();
         Arc::new(ThreadPool {
-            backend,
+            core,
             workers: Mutex::new(workers),
             tracker: CompletionTracker::new(),
             size,
             grain: Arc::new(AtomicU32::new(0)),
-            stats,
         })
     }
 
@@ -307,14 +244,6 @@ impl ThreadPool {
         self.size
     }
 
-    /// The scheduler backing this pool.
-    pub fn scheduler(&self) -> Scheduler {
-        match self.backend {
-            Backend::Single { .. } => Scheduler::SingleQueue,
-            Backend::Stealing(_) => Scheduler::WorkStealing,
-        }
-    }
-
     /// Enqueue a job. Never blocks (unbounded queues). Called from a pool
     /// worker, the job goes to that worker's own deque (LIFO, cache-hot);
     /// called from anywhere else it goes to the shared injector.
@@ -324,9 +253,8 @@ impl ThreadPool {
     }
 
     /// Enqueue a whole pack of jobs: one tracker increment, one queue-lock
-    /// acquisition (work-stealing backend) and one wakeup for the entire
-    /// batch. Semantically identical to calling [`spawn`](Self::spawn) once
-    /// per job.
+    /// acquisition and one wakeup for the entire batch. Semantically
+    /// identical to calling [`spawn`](Self::spawn) once per job.
     pub fn spawn_batch<I>(&self, jobs: I)
     where
         I: IntoIterator,
@@ -341,43 +269,34 @@ impl ThreadPool {
         }
         let tokens = self.tracker.begin_many(jobs.len());
         let tasks = tokens.into_iter().zip(jobs).map(|(token, job)| Task { token, job });
-        match &self.backend {
-            Backend::Single { tx } => {
-                let tx = tx.as_ref().expect("pool sender present until drop");
+        let core = &self.core;
+        match WORKER_CTX.with(|ctx| ctx.get()) {
+            Some((id, idx)) if id == core.id => {
                 for task in tasks {
-                    tx.send(task).expect("pool workers alive until drop");
+                    core.locals[idx].push(task);
                 }
+                core.wake_all();
             }
-            Backend::Stealing(core) => {
-                match WORKER_CTX.with(|ctx| ctx.get()) {
-                    Some((id, idx)) if id == core.id => {
-                        for task in tasks {
-                            core.locals[idx].push(task);
-                        }
-                        core.wake_all();
-                    }
-                    _ => {
-                        let grain = self.grain.load(Ordering::Relaxed) as usize;
-                        if grain == 0 {
-                            core.injector.push_batch(tasks);
+            _ => {
+                let grain = self.grain.load(Ordering::Relaxed) as usize;
+                if grain == 0 {
+                    core.injector.push_batch(tasks);
+                    core.wake_all();
+                } else {
+                    // Tuned grain: release the batch in chunks, waking
+                    // workers per chunk so the first tasks start while
+                    // the rest are still being enqueued.
+                    let mut chunk = Vec::with_capacity(grain);
+                    for task in tasks {
+                        chunk.push(task);
+                        if chunk.len() >= grain {
+                            core.injector.push_batch(chunk.drain(..));
                             core.wake_all();
-                        } else {
-                            // Tuned grain: release the batch in chunks, waking
-                            // workers per chunk so the first tasks start while
-                            // the rest are still being enqueued.
-                            let mut chunk = Vec::with_capacity(grain);
-                            for task in tasks {
-                                chunk.push(task);
-                                if chunk.len() >= grain {
-                                    core.injector.push_batch(chunk.drain(..));
-                                    core.wake_all();
-                                }
-                            }
-                            if !chunk.is_empty() {
-                                core.injector.push_batch(chunk);
-                                core.wake_all();
-                            }
                         }
+                    }
+                    if !chunk.is_empty() {
+                        core.injector.push_batch(chunk);
+                        core.wake_all();
                     }
                 }
             }
@@ -385,21 +304,12 @@ impl ThreadPool {
     }
 
     fn push_task(&self, task: Task) {
-        match &self.backend {
-            Backend::Single { tx } => {
-                tx.as_ref()
-                    .expect("pool sender present until drop")
-                    .send(task)
-                    .expect("pool workers alive until drop");
-            }
-            Backend::Stealing(core) => {
-                match WORKER_CTX.with(|ctx| ctx.get()) {
-                    Some((id, idx)) if id == core.id => core.locals[idx].push(task),
-                    _ => core.injector.push(task),
-                }
-                core.wake_one();
-            }
+        let core = &self.core;
+        match WORKER_CTX.with(|ctx| ctx.get()) {
+            Some((id, idx)) if id == core.id => core.locals[idx].push(task),
+            _ => core.injector.push(task),
         }
+        core.wake_one();
     }
 
     /// Jobs queued or running.
@@ -425,23 +335,20 @@ impl ThreadPool {
     /// keeps incrementing its own relaxed atomics; installation only names
     /// the cells, so an uninstalled pool pays nothing extra.
     pub fn install_metrics(&self, registry: &MetricsRegistry, prefix: &str) {
-        registry.bind_counter(&format!("{prefix}.steals"), self.stats.steals.clone());
-        registry.bind_counter(&format!("{prefix}.parks"), self.stats.parks.clone());
-        registry.bind_counter(&format!("{prefix}.wakeups"), self.stats.wakeups.clone());
+        let stats = &self.core.stats;
+        registry.bind_counter(&format!("{prefix}.steals"), stats.steals.clone());
+        registry.bind_counter(&format!("{prefix}.parks"), stats.parks.clone());
+        registry.bind_counter(&format!("{prefix}.wakeups"), stats.wakeups.clone());
         registry.bind_gauge_usize(&format!("{prefix}.in_flight"), self.tracker.in_flight_cell());
     }
 }
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        match &mut self.backend {
-            // Closing the channel stops the workers after the queue drains.
-            Backend::Single { tx } => *tx = None,
-            Backend::Stealing(core) => {
-                core.shutdown.store(true, Ordering::SeqCst);
-                let _guard = core.park_lock.lock();
-                core.unpark.notify_all();
-            }
+        self.core.shutdown.store(true, Ordering::SeqCst);
+        {
+            let _guard = self.core.park_lock.lock();
+            self.core.unpark.notify_all();
         }
         // Take the handles out before joining: joining while holding the
         // `workers` mutex would deadlock a concurrent `Debug`-format or
@@ -457,7 +364,6 @@ impl std::fmt::Debug for ThreadPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadPool")
             .field("size", &self.size)
-            .field("scheduler", &self.scheduler())
             .field("in_flight", &self.in_flight())
             .finish()
     }
@@ -469,23 +375,18 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
-    fn both_schedulers() -> [Arc<ThreadPool>; 2] {
-        [ThreadPool::new(4, "steal"), ThreadPool::single_queue(4, "single")]
-    }
-
     #[test]
     fn runs_jobs() {
-        for pool in both_schedulers() {
-            let counter = Arc::new(AtomicUsize::new(0));
-            for _ in 0..100 {
-                let c = counter.clone();
-                pool.spawn(move || {
-                    c.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            pool.wait_idle();
-            assert_eq!(counter.load(Ordering::Relaxed), 100, "{:?}", pool.scheduler());
+        let pool = ThreadPool::new(4, "steal");
+        let counter = Arc::new(AtomicUsize::new(0));
+        for _ in 0..100 {
+            let c = counter.clone();
+            pool.spawn(move || {
+                c.fetch_add(1, Ordering::Relaxed);
+            });
         }
+        pool.wait_idle();
+        assert_eq!(counter.load(Ordering::Relaxed), 100);
     }
 
     #[test]
@@ -521,66 +422,62 @@ mod tests {
 
     #[test]
     fn nested_submission_is_tracked() {
-        for pool in both_schedulers() {
-            let hits = Arc::new(AtomicUsize::new(0));
-            let (p2, h2) = (pool.clone(), hits.clone());
-            pool.spawn(move || {
-                h2.fetch_add(1, Ordering::Relaxed);
-                let h3 = h2.clone();
-                p2.spawn(move || {
-                    h3.fetch_add(1, Ordering::Relaxed);
-                });
+        let pool = ThreadPool::new(4, "nested");
+        let hits = Arc::new(AtomicUsize::new(0));
+        let (p2, h2) = (pool.clone(), hits.clone());
+        pool.spawn(move || {
+            h2.fetch_add(1, Ordering::Relaxed);
+            let h3 = h2.clone();
+            p2.spawn(move || {
+                h3.fetch_add(1, Ordering::Relaxed);
             });
-            pool.wait_idle();
-            assert_eq!(hits.load(Ordering::Relaxed), 2, "{:?}", pool.scheduler());
-        }
+        });
+        pool.wait_idle();
+        assert_eq!(hits.load(Ordering::Relaxed), 2);
     }
 
     #[test]
     fn panicking_job_does_not_wedge_the_pool() {
-        for pool in [ThreadPool::new(1, "panicky"), ThreadPool::single_queue(1, "panicky-sq")] {
-            pool.spawn(|| panic!("boom"));
-            assert!(pool.tracker().wait_idle_timeout(Duration::from_millis(500)));
-            // The single worker survived the panic and keeps serving jobs.
-            let ok = Arc::new(AtomicUsize::new(0));
-            let ok2 = ok.clone();
-            pool.spawn(move || {
-                ok2.fetch_add(1, Ordering::Relaxed);
-            });
-            pool.wait_idle();
-            assert_eq!(ok.load(Ordering::Relaxed), 1, "{:?}", pool.scheduler());
-        }
+        let pool = ThreadPool::new(1, "panicky");
+        pool.spawn(|| panic!("boom"));
+        assert!(pool.tracker().wait_idle_timeout(Duration::from_millis(500)));
+        // The single worker survived the panic and keeps serving jobs.
+        let ok = Arc::new(AtomicUsize::new(0));
+        let ok2 = ok.clone();
+        pool.spawn(move || {
+            ok2.fetch_add(1, Ordering::Relaxed);
+        });
+        pool.wait_idle();
+        assert_eq!(ok.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn drop_joins_workers() {
-        for pool in [ThreadPool::new(2, "drop"), ThreadPool::single_queue(2, "drop-sq")] {
-            let hits = Arc::new(AtomicUsize::new(0));
-            for _ in 0..10 {
-                let h = hits.clone();
-                pool.spawn(move || {
-                    h.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            drop(pool);
-            assert_eq!(hits.load(Ordering::Relaxed), 10, "queued jobs drain before drop completes");
+        let pool = ThreadPool::new(2, "drop");
+        let hits = Arc::new(AtomicUsize::new(0));
+        for _ in 0..10 {
+            let h = hits.clone();
+            pool.spawn(move || {
+                h.fetch_add(1, Ordering::Relaxed);
+            });
         }
+        drop(pool);
+        assert_eq!(hits.load(Ordering::Relaxed), 10, "queued jobs drain before drop completes");
     }
 
     #[test]
     fn spawn_batch_runs_every_job() {
-        for pool in both_schedulers() {
-            let counter = Arc::new(AtomicUsize::new(0));
-            pool.spawn_batch((0..250).map(|_| {
-                let c = counter.clone();
-                move || {
-                    c.fetch_add(1, Ordering::Relaxed);
-                }
-            }));
-            pool.wait_idle();
-            assert_eq!(counter.load(Ordering::Relaxed), 250, "{:?}", pool.scheduler());
-            assert_eq!(pool.in_flight(), 0);
-        }
+        let pool = ThreadPool::new(4, "batch");
+        let counter = Arc::new(AtomicUsize::new(0));
+        pool.spawn_batch((0..250).map(|_| {
+            let c = counter.clone();
+            move || {
+                c.fetch_add(1, Ordering::Relaxed);
+            }
+        }));
+        pool.wait_idle();
+        assert_eq!(counter.load(Ordering::Relaxed), 250);
+        assert_eq!(pool.in_flight(), 0);
     }
 
     #[test]
@@ -623,8 +520,18 @@ mod tests {
         let pool = ThreadPool::new(4, "metered");
         let reg = MetricsRegistry::new();
         pool.install_metrics(&reg, "pool");
+        // Force park-then-wake: a submitter only issues (and counts) a wakeup
+        // when it sees a parked worker, so wait until every worker has parked
+        // before submitting anything.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while reg.snapshot().counter("pool.parks").unwrap() < pool.size() as u64
+            || pool.core.sleepers.load(Ordering::SeqCst) < pool.size()
+        {
+            assert!(std::time::Instant::now() < deadline, "workers never parked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         // Replay the stealing scenario: one externally submitted job fans out
-        // nested spawns, so idle peers must steal (and park/wake around it).
+        // nested spawns, so idle peers must steal.
         let p2 = pool.clone();
         pool.spawn(move || {
             for _ in 0..16 {

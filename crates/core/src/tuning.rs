@@ -4,9 +4,9 @@
 //! farm call, batch sizes, packing thresholds — by hand, per machine. This
 //! module closes that loop at run time: skeletons and aspects register
 //! **tunables** (live `AtomicU32` cells such as a farm's pack count, the
-//! executor's batch grain, the message packer's flush thresholds, or the
-//! fabric's reply backend), completed calls report **observations** into
-//! lock-free sharded accumulators, and a feedback **controller** adjusts one
+//! executor's batch grain or the message packer's flush thresholds),
+//! completed calls report **observations** into lock-free sharded metrics
+//! [`Counter`]s, and a feedback **controller** adjusts one
 //! tunable at a time toward the throughput gradient.
 //!
 //! The controller is a seeded coordinate-descent hill climber with
@@ -28,7 +28,7 @@
 //! and stops via [`Autotuner::stop`] or when the tuner is dropped, so no
 //! thread outlives the tuner.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -36,6 +36,7 @@ use parking_lot::{Condvar, Mutex};
 
 use weavepar_weave::aspect::precedence;
 use weavepar_weave::prelude::*;
+use weavepar_weave::Counter;
 
 /// How a tunable moves between values.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -185,32 +186,46 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-const SHARDS: usize = 8;
-
-/// One observation accumulator shard: plain `fetch_add` counters, no locks
-/// on the completion path.
-#[derive(Default)]
-struct Shard {
-    count: AtomicU64,
-    service_ns: AtomicU64,
-    queue: AtomicU64,
-    bytes: AtomicU64,
+/// Observation accumulators: sharded, cache-line padded metrics counters,
+/// so the completion path never takes a lock. They only grow; each epoch
+/// takes its deltas against the totals it last saw.
+struct Observations {
+    count: Counter,
+    service_ns: Counter,
+    queue: Counter,
+    bytes: Counter,
 }
 
-fn shard_index() -> usize {
-    use std::cell::Cell;
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static MINE: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    MINE.with(|m| {
-        let mut idx = m.get();
-        if idx == usize::MAX {
-            idx = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-            m.set(idx);
+impl Observations {
+    fn new() -> Self {
+        Observations {
+            count: Counter::sharded(),
+            service_ns: Counter::sharded(),
+            queue: Counter::sharded(),
+            bytes: Counter::sharded(),
         }
-        idx
-    })
+    }
+
+    /// Everything observed since `seen`, which is advanced to the current
+    /// totals.
+    fn since(&self, seen: &mut EpochStats) -> EpochStats {
+        let now = EpochStats {
+            count: self.count.value(),
+            service_ns: self.service_ns.value(),
+            queue: self.queue.value(),
+            bytes: self.bytes.value(),
+            score: 0.0,
+        };
+        let delta = EpochStats {
+            count: now.count.wrapping_sub(seen.count),
+            service_ns: now.service_ns.wrapping_sub(seen.service_ns),
+            queue: now.queue.wrapping_sub(seen.queue),
+            bytes: now.bytes.wrapping_sub(seen.bytes),
+            score: 0.0,
+        };
+        *seen = now;
+        delta
+    }
 }
 
 /// Totals drained at one epoch boundary.
@@ -238,6 +253,8 @@ struct CtlState {
     settle_left: u32,
     idle_left: u32,
     rng: u64,
+    /// Observation totals at the last epoch boundary.
+    seen: EpochStats,
     last_epoch: EpochStats,
     trajectory: Vec<(&'static str, u32)>,
 }
@@ -248,7 +265,7 @@ const TRAJECTORY_CAP: usize = 4096;
 /// accumulators + the seeded hill climber.
 pub struct Autotuner {
     config: TuneConfig,
-    shards: [Shard; SHARDS],
+    observed: Observations,
     pending: AtomicU64,
     /// In their own `Arc`s so a metrics registry can bind them as live
     /// counters without the controller updating anything twice.
@@ -266,7 +283,7 @@ impl Autotuner {
     pub fn new(config: TuneConfig) -> Arc<Self> {
         Arc::new(Autotuner {
             config,
-            shards: Default::default(),
+            observed: Observations::new(),
             pending: AtomicU64::new(0),
             epochs: Arc::new(AtomicU64::new(0)),
             accepted: Arc::new(AtomicU64::new(0)),
@@ -279,6 +296,7 @@ impl Autotuner {
                 settle_left: 0,
                 idle_left: 0,
                 rng: config.seed,
+                seen: EpochStats::default(),
                 last_epoch: EpochStats::default(),
                 trajectory: Vec::new(),
             }),
@@ -301,12 +319,11 @@ impl Autotuner {
     /// and payload-byte context. Lock-free except at an epoch boundary,
     /// where one caller (never more) takes the controller mutex.
     pub fn observe(&self, service: Duration, queue_depth: u64, bytes: u64) {
-        let shard = &self.shards[shard_index()];
-        shard.count.fetch_add(1, Ordering::Relaxed);
         let ns = u64::try_from(service.as_nanos()).unwrap_or(u64::MAX);
-        shard.service_ns.fetch_add(ns, Ordering::Relaxed);
-        shard.queue.fetch_add(queue_depth, Ordering::Relaxed);
-        shard.bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.observed.count.inc();
+        self.observed.service_ns.add(ns);
+        self.observed.queue.add(queue_depth);
+        self.observed.bytes.add(bytes);
         if self.pending.fetch_add(1, Ordering::Relaxed) + 1 >= u64::from(self.config.epoch_calls) {
             self.maybe_tick();
         }
@@ -333,13 +350,7 @@ impl Autotuner {
     }
 
     fn tick_locked(&self, st: &mut CtlState) {
-        let mut totals = EpochStats::default();
-        for shard in &self.shards {
-            totals.count += shard.count.swap(0, Ordering::Relaxed);
-            totals.service_ns += shard.service_ns.swap(0, Ordering::Relaxed);
-            totals.queue += shard.queue.swap(0, Ordering::Relaxed);
-            totals.bytes += shard.bytes.swap(0, Ordering::Relaxed);
-        }
+        let mut totals = self.observed.since(&mut st.seen);
         if totals.count == 0 {
             return;
         }

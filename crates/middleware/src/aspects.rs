@@ -376,68 +376,6 @@ impl MppConfig {
     }
 }
 
-/// The RMI-style distribution aspect (Figure 14).
-#[deprecated(note = "use `RmiConfig::new(class, pointcut, fabric).placement(policy).aspect(name)`")]
-pub fn rmi_distribution_aspect(
-    name: impl Into<String>,
-    class: &'static str,
-    call_pointcut: Pointcut,
-    fabric: Arc<InProcFabric>,
-    policy: Policy,
-) -> Aspect {
-    RmiConfig::new(class, call_pointcut, fabric).placement(policy).aspect(name)
-}
-
-/// The RMI-style distribution aspect with a [`CallPolicy`].
-#[deprecated(
-    note = "use `RmiConfig::new(class, pointcut, fabric).placement(policy).policy(call_policy).aspect(name)`"
-)]
-pub fn rmi_distribution_aspect_with_policy(
-    name: impl Into<String>,
-    class: &'static str,
-    call_pointcut: Pointcut,
-    fabric: Arc<InProcFabric>,
-    policy: Policy,
-    call_policy: CallPolicy,
-) -> Aspect {
-    RmiConfig::new(class, call_pointcut, fabric).placement(policy).policy(call_policy).aspect(name)
-}
-
-/// The MPP-style distribution aspect (Figure 15).
-#[deprecated(
-    note = "use `MppConfig::new(class, pointcut, fabric).placement(policy).oneway(oneway).aspect(name)`"
-)]
-pub fn mpp_distribution_aspect(
-    name: impl Into<String>,
-    class: &'static str,
-    call_pointcut: Pointcut,
-    fabric: Arc<InProcFabric>,
-    policy: Policy,
-    oneway: bool,
-) -> Aspect {
-    MppConfig::new(class, call_pointcut, fabric).placement(policy).oneway(oneway).aspect(name)
-}
-
-/// The MPP-style distribution aspect with a [`CallPolicy`].
-#[deprecated(
-    note = "use `MppConfig::new(class, pointcut, fabric).placement(policy).oneway(oneway).policy(call_policy).aspect(name)`"
-)]
-pub fn mpp_distribution_aspect_with_policy(
-    name: impl Into<String>,
-    class: &'static str,
-    call_pointcut: Pointcut,
-    fabric: Arc<InProcFabric>,
-    policy: Policy,
-    oneway: bool,
-    call_policy: CallPolicy,
-) -> Aspect {
-    MppConfig::new(class, call_pointcut, fabric)
-        .placement(policy)
-        .oneway(oneway)
-        .policy(call_policy)
-        .aspect(name)
-}
-
 /// One node's pending pack.
 struct Pending {
     frame: PackFrame,
@@ -587,7 +525,7 @@ impl MessagePacker {
 ///
 /// Packed calls are **oneway**: the advice returns unit without waiting, so
 /// only apply the pointcut to methods whose results are unused (the same
-/// contract as `mpp_distribution_aspect` with `oneway = true`). Replied
+/// contract as [`MppConfig`] with `.oneway(true)`). Replied
 /// calls and non-remote targets are untouched — they proceed down the
 /// aspect stack as if this aspect were not plugged.
 pub fn message_packing_aspect(

@@ -7,25 +7,26 @@
 //!
 //! The per-call fast path is allocation-free in the steady state:
 //! [`InProcFabric::call_id`] takes an interned [`MethodId`] (an array index
-//! into the registry, not a string lookup), draws its reply rendezvous from
-//! a slab of reusable park/unpark slots instead of a fresh `bounded(1)`
-//! channel, and encode/decode frames cycle through a shared [`BufPool`].
+//! into the registry, not a string lookup), parks on a reply slot drawn from
+//! a slab of reusable park/unpark slots ([`ReplyPool`]), and encode/decode
+//! frames cycle through a shared [`BufPool`]. Only the rare control-plane
+//! requests (construct, snapshot, restore) reply over a one-shot channel.
 //! [`InProcFabric::call_batch`] packs many oneway calls to one node into a
 //! single [`Request::CallPack`] frame — one submit, one wakeup.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
 use crossbeam::channel::bounded;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use weavepar_weave::{Args, MetricsRegistry, ObjId, WeaveError, WeaveResult, Weaveable};
 
 use crate::faults::{FaultAction, FaultPlan, RequestClass};
 use crate::nameserver::NameServer;
-use crate::node::{NodeRuntime, ReplySink, Request};
+use crate::node::{NodeRuntime, Request};
 use crate::policy::CallPolicy;
 use crate::pool::{BufPool, ReplyPool};
 use crate::wire::{ClassId, MarshalRegistry, MethodId, PackFrame};
@@ -41,29 +42,6 @@ pub struct RemoteRef {
     pub obj: ObjId,
     /// Interned class of the remote instance.
     pub class: ClassId,
-}
-
-/// Which rendezvous a replied [`InProcFabric::call_id`] parks on. The
-/// encoding is a `u32` so the choice can be bound to a tuning cell and
-/// flipped at runtime by a feedback controller (or by hand).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u32)]
-pub enum ReplyBackend {
-    /// Pooled park/unpark [`crate::pool::ReplySlot`] (the default).
-    Slot = 0,
-    /// A fresh `bounded(1)` channel per call.
-    Channel = 1,
-}
-
-impl ReplyBackend {
-    /// Decode a tuning-cell value; anything non-zero selects the channel.
-    pub fn from_u32(v: u32) -> Self {
-        if v == 0 {
-            ReplyBackend::Slot
-        } else {
-            ReplyBackend::Channel
-        }
-    }
 }
 
 /// Always-on fabric event cells. Plain relaxed `fetch_add`s on `Arc`ed
@@ -112,15 +90,6 @@ pub struct InProcFabric {
     faulty: AtomicBool,
     /// Dedup-key generator for at-most-once call delivery.
     seq: AtomicU64,
-    /// Reply rendezvous selector for replied calls (see [`ReplyBackend`]).
-    /// An `Arc` so a tuner can hold the cell and adjust it while calls are
-    /// in flight; each call reads it once with a relaxed load.
-    reply_backend: Arc<AtomicU32>,
-    /// Reply senders of channel-backed calls whose request was injected as
-    /// lost. Holding them keeps the caller parked until its own deadline —
-    /// a dropped datagram is *silent* on both reply backends — instead of a
-    /// prompt disconnect. Drained with the plan.
-    lost_replies: Mutex<Vec<crossbeam::channel::Sender<WeaveResult<Bytes>>>>,
     /// Always-on event cells a metrics registry can bind by name (see
     /// [`InProcFabric::install_metrics`]).
     stats: FabricStats,
@@ -143,8 +112,6 @@ impl InProcFabric {
             faults: RwLock::new(None),
             faulty: AtomicBool::new(false),
             seq: AtomicU64::new(1),
-            reply_backend: Arc::new(AtomicU32::new(ReplyBackend::Slot as u32)),
-            lost_replies: Mutex::new(Vec::new()),
             stats: FabricStats::default(),
         })
     }
@@ -172,21 +139,6 @@ impl InProcFabric {
     fn flight(&self) -> InFlightGuard<'_> {
         self.stats.in_flight.fetch_add(1, Ordering::Relaxed);
         InFlightGuard(&self.stats.in_flight)
-    }
-
-    /// The reply rendezvous currently used by replied [`InProcFabric::call_id`]s.
-    pub fn reply_backend(&self) -> ReplyBackend {
-        ReplyBackend::from_u32(self.reply_backend.load(Ordering::Relaxed))
-    }
-
-    /// Select the reply rendezvous for subsequent replied calls.
-    pub fn set_reply_backend(&self, backend: ReplyBackend) {
-        self.reply_backend.store(backend as u32, Ordering::Relaxed);
-    }
-
-    /// The raw backend cell, for binding to a tuning controller.
-    pub fn reply_backend_cell(&self) -> Arc<AtomicU32> {
-        self.reply_backend.clone()
     }
 
     /// Number of nodes.
@@ -237,13 +189,10 @@ impl InProcFabric {
         self.faulty.store(true, Ordering::SeqCst);
     }
 
-    /// Remove the fault schedule (back to a faithful network). Reply
-    /// senders parked by injected drops are released here; their callers
-    /// have long since timed out against their own deadlines.
+    /// Remove the fault schedule (back to a faithful network).
     pub fn clear_faults(&self) {
         self.faulty.store(false, Ordering::SeqCst);
         *self.faults.write() = None;
-        self.lost_replies.lock().clear();
     }
 
     /// The installed fault plan, if any (chaos harnesses read its stats).
@@ -311,20 +260,17 @@ impl InProcFabric {
         }
     }
 
-    /// Lose a request: recycle its frames and silence its reply path. A
-    /// pooled reply slot is *discarded*, and a plain channel sender is
-    /// parked in `lost_replies` — either way the caller times out against
-    /// its own deadline, like a lost datagram, rather than seeing a prompt
+    /// Lose a request: recycle its frames and silence its reply path. The
+    /// pooled reply slot is *discarded*, so the caller times out against its
+    /// own deadline, like a lost datagram, rather than seeing a prompt
     /// disconnect the real network would never deliver.
     fn discard(&self, request: Request) {
         match request {
             Request::Construct { args, .. } => self.buffers.recycle(args),
             Request::Call { args, reply, .. } => {
                 self.buffers.recycle(args);
-                match reply {
-                    Some(ReplySink::Slot(slot)) => slot.discard(),
-                    Some(ReplySink::Channel(tx)) => self.lost_replies.lock().push(tx),
-                    None => {}
+                if let Some(slot) = reply {
+                    slot.discard();
                 }
             }
             Request::CallPack { frame } => self.buffers.recycle(frame),
@@ -445,35 +391,11 @@ impl InProcFabric {
         if want_reply {
             self.stats.calls.fetch_add(1, Ordering::Relaxed);
             let _flight = self.flight();
-            if self.reply_backend() == ReplyBackend::Channel {
-                let (tx, rx) = bounded(1);
-                self.route(
-                    reference.node,
-                    RequestClass::Call,
-                    Request::Call {
-                        obj: reference.obj,
-                        method,
-                        args,
-                        reply: Some(ReplySink::Channel(tx)),
-                        seq,
-                    },
-                )?;
-                let bytes = rx.recv().map_err(|_| {
-                    WeaveError::remote(format!("node {} dropped the call reply", reference.node))
-                })??;
-                return Ok(Some(bytes));
-            }
             let (ticket, reply) = self.replies.checkout();
             self.route(
                 reference.node,
                 RequestClass::Call,
-                Request::Call {
-                    obj: reference.obj,
-                    method,
-                    args,
-                    reply: Some(ReplySink::Slot(reply)),
-                    seq,
-                },
+                Request::Call { obj: reference.obj, method, args, reply: Some(reply), seq },
             )?;
             let result = ticket.wait();
             self.replies.finish(ticket);
@@ -552,16 +474,10 @@ impl InProcFabric {
         let routed = self.route(
             reference.node,
             RequestClass::Call,
-            Request::Call {
-                obj: reference.obj,
-                method,
-                args,
-                reply: Some(ReplySink::Slot(reply)),
-                seq: Some(seq),
-            },
+            Request::Call { obj: reference.obj, method, args, reply: Some(reply), seq: Some(seq) },
         );
         if let Err(err) = routed {
-            // The reply sink died with the request; its drop-guard filled
+            // The reply slot died with the request; its drop-guard filled
             // the slot, so finishing the ticket garbage-collects it.
             self.replies.finish(ticket);
             return Err(err);
@@ -583,125 +499,6 @@ impl InProcFabric {
             self.replies.finish(ticket);
         }
         result
-    }
-
-    /// Ablation backend for the `remote_throughput` bench: identical to
-    /// [`InProcFabric::call_id`] but with a fresh `bounded(1)` channel per
-    /// replied call — the pre-pooling rendezvous. Not for production use.
-    #[doc(hidden)]
-    pub fn call_id_channel(
-        &self,
-        reference: RemoteRef,
-        method: MethodId,
-        args: Bytes,
-        want_reply: bool,
-    ) -> WeaveResult<Option<Bytes>> {
-        let target = self.node(reference.node)?;
-        if want_reply {
-            let (tx, rx) = bounded(1);
-            target.submit(Request::Call {
-                obj: reference.obj,
-                method,
-                args,
-                reply: Some(ReplySink::Channel(tx)),
-                seq: None,
-            })?;
-            let bytes = rx.recv().map_err(|_| {
-                WeaveError::remote(format!("node {} dropped the call reply", reference.node))
-            })??;
-            Ok(Some(bytes))
-        } else {
-            target.submit(Request::Call {
-                obj: reference.obj,
-                method,
-                args,
-                reply: None,
-                seq: None,
-            })?;
-            Ok(None)
-        }
-    }
-
-    /// The channel-rendezvous ablation path under a [`CallPolicy`]: same
-    /// deadline/retry/at-most-once semantics as
-    /// [`InProcFabric::call_id_with_policy`], parked on a fresh `bounded(1)`
-    /// channel (`recv_timeout`) instead of a pooled slot. Chaos tests run
-    /// both backends against the same fault schedule.
-    #[doc(hidden)]
-    pub fn call_id_channel_with_policy(
-        &self,
-        reference: RemoteRef,
-        method: MethodId,
-        args: Bytes,
-        want_reply: bool,
-        policy: &CallPolicy,
-    ) -> WeaveResult<Option<Bytes>> {
-        let seq = self.next_seq();
-        if !want_reply {
-            self.stats.oneway.fetch_add(1, Ordering::Relaxed);
-            self.route(
-                reference.node,
-                RequestClass::Oneway,
-                Request::Call { obj: reference.obj, method, args, reply: None, seq: Some(seq) },
-            )?;
-            return Ok(None);
-        }
-        self.stats.calls.fetch_add(1, Ordering::Relaxed);
-        let _flight = self.flight();
-        let mut rng = policy.seed ^ seq.wrapping_mul(0x9e3779b97f4a7c15);
-        let mut attempt = 0u32;
-        loop {
-            let (tx, rx) = bounded(1);
-            let routed = self.route(
-                reference.node,
-                RequestClass::Call,
-                Request::Call {
-                    obj: reference.obj,
-                    method,
-                    args: args.clone(),
-                    reply: Some(ReplySink::Channel(tx)),
-                    seq: Some(seq),
-                },
-            );
-            let result: WeaveResult<Bytes> = match routed {
-                Err(err) => Err(err),
-                Ok(()) => match policy.deadline {
-                    Some(after) => match rx.recv_timeout(after) {
-                        Ok(reply) => reply,
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                            self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                            Err(WeaveError::Timeout { waited_ms: after.as_millis() as u64 })
-                        }
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                            Err(WeaveError::remote(format!(
-                                "node {} dropped the call reply",
-                                reference.node
-                            )))
-                        }
-                    },
-                    None => rx.recv().map_err(|_| {
-                        WeaveError::remote(format!(
-                            "node {} dropped the call reply",
-                            reference.node
-                        ))
-                    })?,
-                },
-            };
-            match result {
-                Ok(bytes) => return Ok(Some(bytes)),
-                Err(err) => {
-                    if !policy.should_retry(&err, attempt) {
-                        return Err(err);
-                    }
-                    attempt += 1;
-                    self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                    let pause = policy.backoff.delay(attempt, &mut rng);
-                    if !pause.is_zero() {
-                        std::thread::sleep(pause);
-                    }
-                }
-            }
-        }
     }
 
     /// Pack many oneway calls to one node into a single framed

@@ -48,16 +48,11 @@ pub mod wire;
 pub use bytes::{Bytes, BytesMut};
 
 pub use aspects::{message_packing_aspect, MessagePacker, MppConfig, Policy, RmiConfig};
-#[allow(deprecated)]
-pub use aspects::{
-    mpp_distribution_aspect, mpp_distribution_aspect_with_policy, rmi_distribution_aspect,
-    rmi_distribution_aspect_with_policy,
-};
-pub use fabric::{InProcFabric, RemoteRef, ReplyBackend};
+pub use fabric::{InProcFabric, RemoteRef};
 pub use faults::{FaultAction, FaultPlan, FaultRule, FaultStats, FaultStatsSnapshot, RequestClass};
 pub use migration::{introduce_migration, migrate_object, remove_migration, MigrationCapability};
 pub use nameserver::NameServer;
-pub use node::{NodeRuntime, ReplySink, Request};
+pub use node::{NodeRuntime, Request};
 pub use policy::{Backoff, CallPolicy};
-pub use pool::{BufPool, ReplyPool};
+pub use pool::{BufPool, ReplyPool, SlotReply};
 pub use wire::{ClassId, MarshalRegistry, MethodId, PackFrame, PackReader, Wire, WireArgs};

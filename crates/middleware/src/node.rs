@@ -27,27 +27,6 @@ use weavepar_weave::{ObjId, WeaveError, WeaveResult, Weaveable, Weaver};
 use crate::pool::{BufPool, SlotReply};
 use crate::wire::{ClassId, MarshalRegistry, MethodId, PackReader};
 
-/// Where a replied call's answer goes: a plain channel (convenience, tests)
-/// or a pooled reply slot (the fabric's fast path).
-pub enum ReplySink {
-    /// One-shot channel, as used by direct node tests.
-    Channel(Sender<WeaveResult<Bytes>>),
-    /// Checked-out slot from the fabric's [`ReplyPool`](crate::ReplyPool).
-    Slot(SlotReply),
-}
-
-impl ReplySink {
-    /// Deliver the reply.
-    pub fn send(self, result: WeaveResult<Bytes>) {
-        match self {
-            ReplySink::Channel(tx) => {
-                let _ = tx.send(result);
-            }
-            ReplySink::Slot(slot) => slot.send(result),
-        }
-    }
-}
-
 /// A request arriving at a node.
 pub enum Request {
     /// Create an instance from marshalled constructor arguments. `ctor` is
@@ -87,9 +66,9 @@ pub enum Request {
         method: MethodId,
         /// Marshalled arguments.
         args: Bytes,
-        /// Reply sink for the marshalled return value; `None` makes the
+        /// Reply slot for the marshalled return value; `None` makes the
         /// call oneway (MPP-style send).
-        reply: Option<ReplySink>,
+        reply: Option<SlotReply>,
         /// At-most-once dedup key: a retried or duplicated delivery carrying
         /// a `seq` already in the node's dedup window is never executed
         /// again — replied duplicates get the cached reply, oneway
@@ -431,6 +410,7 @@ fn serve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::{ReplyPool, SlotTicket};
     use crossbeam::channel::bounded;
     use weavepar_weave::WeaveResult as WR;
 
@@ -479,6 +459,19 @@ mod tests {
         rx.recv().map_err(|_| weavepar_weave::WeaveError::remote("no reply"))?
     }
 
+    /// Submit a replied call; the returned ticket parks on its reply slot.
+    fn submit_replied(
+        node: &NodeRuntime,
+        obj: ObjId,
+        method: MethodId,
+        args: Bytes,
+        seq: Option<u64>,
+    ) -> WR<SlotTicket> {
+        let (ticket, reply) = ReplyPool::new().checkout();
+        node.submit(Request::Call { obj, method, args, reply: Some(reply), seq })?;
+        Ok(ticket)
+    }
+
     fn construct_adder(node: &NodeRuntime, m: &MarshalRegistry, start: u64) -> WR<ObjId> {
         let args = m.encode_args("Adder", "new", &weavepar_weave::args![start]).unwrap();
         construct(node, m, "Adder", args)
@@ -495,16 +488,8 @@ mod tests {
         node.register_class::<Adder>();
         let obj = construct_adder(&node, &m, 10).unwrap();
 
-        let (tx, rx) = bounded(1);
-        node.submit(Request::Call {
-            obj,
-            method: m.method_id("Adder", "add").unwrap(),
-            args: add_args(&m, 5),
-            reply: Some(ReplySink::Channel(tx)),
-            seq: None,
-        })
-        .unwrap();
-        let ret = rx.recv().unwrap().unwrap();
+        let add = m.method_id("Adder", "add").unwrap();
+        let ret = submit_replied(&node, obj, add, add_args(&m, 5), None).unwrap().wait().unwrap();
         let v = m.decode_ret("Adder", "add", &ret).unwrap();
         assert_eq!(*v.downcast::<u64>().unwrap(), 15);
     }
@@ -527,16 +512,7 @@ mod tests {
             .unwrap();
         }
         // Synchronise via a replied call.
-        let (tx, rx) = bounded(1);
-        node.submit(Request::Call {
-            obj,
-            method: add,
-            args: add_args(&m, 0),
-            reply: Some(ReplySink::Channel(tx)),
-            seq: None,
-        })
-        .unwrap();
-        let ret = rx.recv().unwrap().unwrap();
+        let ret = submit_replied(&node, obj, add, add_args(&m, 0), None).unwrap().wait().unwrap();
         let v = m.decode_ret("Adder", "add", &ret).unwrap();
         assert_eq!(*v.downcast::<u64>().unwrap(), 3);
     }
@@ -555,16 +531,7 @@ mod tests {
         }
         node.submit(Request::CallPack { frame: frame.finish() }).unwrap();
         // Synchronise via a replied call: queue order is execution order.
-        let (tx, rx) = bounded(1);
-        node.submit(Request::Call {
-            obj,
-            method: add,
-            args: add_args(&m, 0),
-            reply: Some(ReplySink::Channel(tx)),
-            seq: None,
-        })
-        .unwrap();
-        let ret = rx.recv().unwrap().unwrap();
+        let ret = submit_replied(&node, obj, add, add_args(&m, 0), None).unwrap().wait().unwrap();
         let v = m.decode_ret("Adder", "add", &ret).unwrap();
         assert_eq!(*v.downcast::<u64>().unwrap(), 10);
     }
@@ -583,16 +550,10 @@ mod tests {
         let m = marshal();
         let node = NodeRuntime::spawn(0, m.clone());
         node.register_class::<Adder>();
-        let (tx, rx) = bounded(1);
-        node.submit(Request::Call {
-            obj: ObjId::from_raw(404),
-            method: m.method_id("Adder", "add").unwrap(),
-            args: add_args(&m, 1),
-            reply: Some(ReplySink::Channel(tx)),
-            seq: None,
-        })
-        .unwrap();
-        assert!(rx.recv().unwrap().is_err());
+        let add = m.method_id("Adder", "add").unwrap();
+        let ticket = submit_replied(&node, ObjId::from_raw(404), add, add_args(&m, 1), None);
+        let err = ticket.unwrap().wait().unwrap_err();
+        assert!(matches!(err, WeaveError::NoSuchObject(_)), "{err}");
     }
 
     #[test]
@@ -604,16 +565,8 @@ mod tests {
         assert!(!node.is_down());
         node.kill();
         assert!(node.is_down());
-        let (tx, _rx) = bounded(1);
-        let err = node
-            .submit(Request::Call {
-                obj,
-                method: m.method_id("Adder", "add").unwrap(),
-                args: add_args(&m, 1),
-                reply: Some(ReplySink::Channel(tx)),
-                seq: None,
-            })
-            .unwrap_err();
+        let add = m.method_id("Adder", "add").unwrap();
+        let err = submit_replied(&node, obj, add, add_args(&m, 1), None).err().unwrap();
         assert!(matches!(err, weavepar_weave::WeaveError::NodeDown { node: 0 }));
     }
 
@@ -642,20 +595,13 @@ mod tests {
         })
         .unwrap();
         // ...queue a replied call behind it...
-        let (tx, rx) = bounded(1);
-        node.submit(Request::Call {
-            obj: adder,
-            method: m.method_id("Adder", "add").unwrap(),
-            args: add_args(&m, 1),
-            reply: Some(ReplySink::Channel(tx)),
-            seq: None,
-        })
-        .unwrap();
+        let add = m.method_id("Adder", "add").unwrap();
+        let ticket = submit_replied(&node, adder, add, add_args(&m, 1), None).unwrap();
         // ...kill the node while the call is queued, then release the gate.
         node.kill();
         GATE_OPEN.store(true, Ordering::SeqCst);
         // The queued caller must be failed, not executed or stranded.
-        let err = rx.recv().expect("reply delivered").unwrap_err();
+        let err = ticket.wait().unwrap_err();
         assert!(matches!(err, weavepar_weave::WeaveError::NodeDown { node: 0 }));
     }
 
@@ -681,18 +627,8 @@ mod tests {
                 submitters.push(std::thread::spawn(move || {
                     let mut accepted = Vec::new();
                     while !stop.load(Ordering::SeqCst) {
-                        let (tx, rx) = bounded(1);
-                        let sent = node.submit(Request::Call {
-                            obj,
-                            method: add,
-                            args: m
-                                .encode_args("Adder", "add", &weavepar_weave::args![1u64])
-                                .unwrap(),
-                            reply: Some(ReplySink::Channel(tx)),
-                            seq: None,
-                        });
-                        if sent.is_ok() {
-                            accepted.push(rx);
+                        if let Ok(ticket) = submit_replied(&node, obj, add, add_args(&m, 1), None) {
+                            accepted.push(ticket);
                         }
                     }
                     accepted
@@ -702,12 +638,15 @@ mod tests {
             node.kill();
             stop.store(true, Ordering::SeqCst);
             for handle in submitters {
-                for rx in handle.join().unwrap() {
+                for ticket in handle.join().unwrap() {
                     // Every accepted call gets a reply (value before the kill,
-                    // NodeDown after) within a bounded wait — no stranding.
-                    let _ = rx
-                        .recv_timeout(std::time::Duration::from_secs(5))
-                        .expect("accepted call must be answered");
+                    // NodeDown after) within a bounded wait — no stranding,
+                    // and no request dropped unanswered (the slot's
+                    // drop-guard error).
+                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+                    if let Err(err) = ticket.wait_deadline(Some(deadline), 5000) {
+                        assert!(matches!(err, WeaveError::NodeDown { node: 3 }), "{err}");
+                    }
                 }
             }
             // And the node still shuts down cleanly.
@@ -734,17 +673,9 @@ mod tests {
                 .build(),
         );
         let obj = construct_adder(&node, &m, 0).unwrap();
+        let add = m.method_id("Adder", "add").unwrap();
         let send = |obj| {
-            let (tx, rx) = bounded(1);
-            node.submit(Request::Call {
-                obj,
-                method: m.method_id("Adder", "add").unwrap(),
-                args: add_args(&m, 1),
-                reply: Some(ReplySink::Channel(tx)),
-                seq: None,
-            })
-            .unwrap();
-            rx.recv().unwrap().unwrap();
+            submit_replied(&node, obj, add, add_args(&m, 1), None).unwrap().wait().unwrap();
         };
         // Unwoven (default): server aspects do not apply.
         send(obj);
@@ -780,19 +711,10 @@ mod tests {
         // delivery answered from the cached reply.
         let mut replies = Vec::new();
         for _ in 0..2 {
-            let (tx, rx) = bounded(1);
-            node.submit(Request::Call {
-                obj,
-                method: add,
-                args: add_args(&m, 1),
-                reply: Some(ReplySink::Channel(tx)),
-                seq: Some(8),
-            })
-            .unwrap();
-            replies.push(rx);
+            replies.push(submit_replied(&node, obj, add, add_args(&m, 1), Some(8)).unwrap());
         }
-        for rx in replies {
-            let ret = rx.recv().unwrap().unwrap();
+        for ticket in replies {
+            let ret = ticket.wait().unwrap();
             let v = m.decode_ret("Adder", "add", &ret).unwrap();
             // 0 + 5 (executed once) + 1 (executed once) — both deliveries of
             // the replied call see the same total.

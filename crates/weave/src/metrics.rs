@@ -85,7 +85,10 @@ pub struct Counter {
 }
 
 impl Counter {
-    fn sharded() -> Self {
+    /// A standalone sharded counter, registered nowhere: for components
+    /// that accumulate their own hot-path totals (the autotuner's
+    /// observations) and read them with [`Counter::value`].
+    pub fn sharded() -> Self {
         let shards = (0..SHARDS).map(|_| PaddedU64::default()).collect();
         Counter { repr: Arc::new(CounterRepr::Sharded(shards)) }
     }

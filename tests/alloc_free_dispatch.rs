@@ -7,28 +7,40 @@
 //! (first calls populate dispatch tables and advice-chain caches), then
 //! counts allocations across a burst of steady-state calls.
 //!
-//! The tests share one process-global allocator counter, so they serialise
-//! on a mutex: a concurrently running test would otherwise attribute its
-//! allocations to the measuring window.
+//! The window and the counter are per thread, so tests running in parallel
+//! on other threads cannot leak allocations into a measurement. In exchange
+//! each window also counts the method bodies that ran on the measuring
+//! thread, and the tests assert every call was among them: a dispatch that
+//! hopped to another thread could otherwise allocate there unseen.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use weavepar::prelude::*;
 use weavepar::weaveable;
 
-/// Counts allocations while `COUNTING` is set; delegates to [`System`].
+/// Counts this thread's allocations while its `COUNTING` flag is set;
+/// delegates to [`System`].
 struct CountingAlloc;
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    /// `Alu` method bodies run on this thread inside its window.
+    static BODIES: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Bump `counter` if this thread is inside a measuring window. `try_with`
+/// keeps allocations during thread-local teardown from panicking.
+fn tick(counter: &'static std::thread::LocalKey<Cell<usize>>) {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = counter.try_with(|c| c.set(c.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        tick(&ALLOCS);
         unsafe { System.alloc(layout) }
     }
 
@@ -37,9 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        tick(&ALLOCS);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -47,17 +57,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Serialises the measuring window across tests in this binary.
-static WINDOW: Mutex<()> = Mutex::new(());
+/// What one measuring window saw on the calling thread.
+struct Window {
+    allocs: usize,
+    bodies: usize,
+}
 
-/// Count allocations performed by `f` (exclusive window).
-fn count_allocs<T>(f: impl FnOnce() -> T) -> (usize, T) {
-    let _guard = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+/// Count the allocations `f` performs on the calling thread, and the `Alu`
+/// method bodies it runs there.
+fn count_allocs<T>(f: impl FnOnce() -> T) -> (Window, T) {
+    ALLOCS.with(|c| c.set(0));
+    BODIES.with(|c| c.set(0));
+    COUNTING.with(|c| c.set(true));
     let out = f();
-    COUNTING.store(false, Ordering::SeqCst);
-    (ALLOCS.load(Ordering::SeqCst), out)
+    COUNTING.with(|c| c.set(false));
+    (Window { allocs: ALLOCS.with(Cell::get), bodies: BODIES.with(Cell::get) }, out)
 }
 
 struct Alu;
@@ -66,9 +80,13 @@ weaveable! {
     class Alu as AluProxy {
         fn new() -> Self { Alu }
         fn fma(&mut self, a: u64, b: u64, c: u64, d: u64) -> u64 {
+            tick(&BODIES);
             a.wrapping_mul(b).wrapping_add(c).wrapping_mul(d | 1)
         }
-        fn poke(&mut self, x: u64) -> u64 { x.wrapping_add(1) }
+        fn poke(&mut self, x: u64) -> u64 {
+            tick(&BODIES);
+            x.wrapping_add(1)
+        }
     }
 }
 
@@ -92,7 +110,7 @@ fn steady_state_scalar_dispatch_is_allocation_free() {
         proxy.fma(i, i + 1, i + 2, i + 3).unwrap();
         proxy.poke(i).unwrap();
     }
-    let (allocs, sum) = count_allocs(|| {
+    let (window, sum) = count_allocs(|| {
         let mut sum = 0u64;
         for i in 0..1_000u64 {
             sum = sum.wrapping_add(proxy.fma(i, 3, 5, 7).unwrap());
@@ -101,7 +119,11 @@ fn steady_state_scalar_dispatch_is_allocation_free() {
         sum
     });
     assert_ne!(sum, 0, "calls really ran");
-    assert_eq!(allocs, 0, "steady-state scalar dispatch through 3 aspects must not allocate");
+    assert_eq!(window.bodies, 2_000, "every call must run on the measuring thread");
+    assert_eq!(
+        window.allocs, 0,
+        "steady-state scalar dispatch through 3 aspects must not allocate"
+    );
 }
 
 #[test]
@@ -110,14 +132,15 @@ fn unwoven_proxy_dispatch_is_allocation_free() {
     for i in 0..16 {
         proxy.poke(i).unwrap();
     }
-    let (allocs, _) = count_allocs(|| {
+    let (window, _) = count_allocs(|| {
         let mut sum = 0u64;
         for i in 0..1_000u64 {
             sum = sum.wrapping_add(proxy.poke(i).unwrap());
         }
         sum
     });
-    assert_eq!(allocs, 0, "bare proxy dispatch must not allocate");
+    assert_eq!(window.bodies, 1_000, "every call must run on the measuring thread");
+    assert_eq!(window.allocs, 0, "bare proxy dispatch must not allocate");
 }
 
 #[test]
@@ -138,7 +161,7 @@ fn metered_dispatch_stays_allocation_free() {
     for i in 0..16 {
         proxy.poke(i).unwrap();
     }
-    let (allocs, sum) = count_allocs(|| {
+    let (window, sum) = count_allocs(|| {
         let mut sum = 0u64;
         for i in 0..1_000u64 {
             sum = sum.wrapping_add(proxy.poke(i).unwrap());
@@ -146,7 +169,8 @@ fn metered_dispatch_stays_allocation_free() {
         sum
     });
     assert_ne!(sum, 0, "calls really ran");
-    assert_eq!(allocs, 0, "recording into the metrics registry must not allocate");
+    assert_eq!(window.bodies, 1_000, "every call must run on the measuring thread");
+    assert_eq!(window.allocs, 0, "recording into the metrics registry must not allocate");
     // And the registry really saw the burst (warm-up + measured calls).
     assert_eq!(registry.snapshot().counter("Metrics.calls"), Some(1_016));
 }
@@ -161,11 +185,11 @@ fn wrong_type_take_keeps_inline_value_intact() {
     assert_eq!(*args.get::<u64>(0).expect("value still present after failed take"), 41);
 
     // The correctly typed round trip is allocation-free.
-    let (allocs, value) = count_allocs(|| {
+    let (window, value) = count_allocs(|| {
         let taken: u64 = args.take::<u64>(0).expect("correctly typed take succeeds");
         let ret = AnyValue::new(taken);
         *ret.downcast_ref::<u64>().expect("inline return")
     });
     assert_eq!(value, 41);
-    assert_eq!(allocs, 0, "inline args round trip must not allocate");
+    assert_eq!(window.allocs, 0, "inline args round trip must not allocate");
 }

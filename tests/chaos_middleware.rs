@@ -10,8 +10,8 @@
 //! * a node crashed **mid-flight** under a farm costs nothing but time — the
 //!   supervision aspect rebuilds the dead workers and re-dispatches the
 //!   orphaned packs, and the result is byte-identical to the undisturbed run;
-//! * dropped replies are retried under a [`CallPolicy`] and recover, on both
-//!   the pooled-slot and channel-rendezvous backends;
+//! * dropped replies are retried under a [`CallPolicy`] and recover on the
+//!   pooled reply-slot path;
 //! * an **unrecoverable** loss fails with a typed [`WeaveError::Timeout`]
 //!   within the policy's worst case (every attempt hitting its deadline plus
 //!   one full backoff ladder) — never a hang;
@@ -195,16 +195,13 @@ fn delayed_pipeline_sieve_is_undisturbed() {
     assert!(injected.delayed >= 1, "seed {seed}: p=0.3 over a whole sieve must delay something");
 }
 
-/// The two replied-call backends under one policy: the pooled-slot fast path
-/// and the channel-rendezvous ablation path must expose identical
-/// deadline/retry semantics.
+/// The replied-call paths under one policy, each named in failure messages;
+/// every row must expose the same deadline/retry semantics.
 type PolicyBackend =
     fn(&InProcFabric, RemoteRef, MethodId, Bytes, &CallPolicy) -> WeaveResult<Option<Bytes>>;
 
-const BACKENDS: [(&str, PolicyBackend); 2] = [
-    ("pooled-slot", |f, r, m, a, p| f.call_id_with_policy(r, m, a, true, p)),
-    ("channel", |f, r, m, a, p| f.call_id_channel_with_policy(r, m, a, true, p)),
-];
+const BACKENDS: [(&str, PolicyBackend); 1] =
+    [("pooled-slot", |f, r, m, a, p| f.call_id_with_policy(r, m, a, true, p))];
 
 fn lone_cruncher(bias: u64) -> (Arc<InProcFabric>, RemoteRef, MethodId) {
     let f = InProcFabric::new(1, cruncher_marshal());
